@@ -1,5 +1,6 @@
 //! Ingest scale benchmarks: chunked parallel parsing of million-job SWF
-//! traces (and the CSV/JSONL schedule readers), plus the
+//! traces and their conversion to a schedule (node-assignment replay
+//! plus task building), the CSV/JSONL schedule readers, and the
 //! `PreparedSchedule` repeat-window render.
 //!
 //! These back the PR's acceptance numbers (see BENCH_ingest.json): at
@@ -16,7 +17,7 @@ use jedule_core::{PreparedSchedule, Schedule};
 use jedule_render::{render, render_prepared, LodMode, RenderOptions};
 use jedule_workloads::convert::{assigned_to_schedule, workload_colormap};
 use jedule_workloads::swf::{parse_swf, parse_swf_parallel, write_swf};
-use jedule_workloads::{synth_scale_trace, ConvertOptions};
+use jedule_workloads::{jobs_to_schedule, synth_scale_trace, ConvertOptions};
 use std::hint::black_box;
 
 const NODES: u32 = 1024;
@@ -26,16 +27,19 @@ fn quick() -> bool {
     std::env::var_os("JEDULE_BENCH_QUICK").is_some()
 }
 
-fn scale_schedule(jobs: usize) -> Schedule {
-    let assigned = synth_scale_trace(jobs, NODES, 20070202);
-    let opts = ConvertOptions {
+fn scale_options() -> ConvertOptions {
+    ConvertOptions {
         cluster_name: "scale".into(),
         total_nodes: NODES,
         reserved: 0,
         highlight_user: None,
         task_attrs: false,
-    };
-    assigned_to_schedule(&assigned, &opts)
+    }
+}
+
+fn scale_schedule(jobs: usize) -> Schedule {
+    let assigned = synth_scale_trace(jobs, NODES, 20070202);
+    assigned_to_schedule(&assigned, &scale_options())
 }
 
 fn birdseye_options() -> RenderOptions {
@@ -70,6 +74,25 @@ fn bench_swf_ingest(c: &mut Criterion) {
             |b, t| b.iter(|| black_box(parse_swf_parallel(t, threads).unwrap())),
         );
     }
+    g.finish();
+}
+
+/// SWF conversion of the parsed log: the node-assignment replay plus
+/// task building, the step `jedule render log.swf` runs between parse
+/// and prepare.
+fn bench_swf_convert(c: &mut Criterion) {
+    let mut g = c.benchmark_group("ingest_swf_convert");
+    g.sample_size(if quick() { 3 } else { 10 });
+    let n = if quick() { 20_000 } else { 1_000_000 };
+    let jobs: Vec<_> = synth_scale_trace(n, NODES, 7)
+        .into_iter()
+        .map(|a| a.job)
+        .collect();
+    let (_, jobs) = parse_swf(&write_swf(&Default::default(), &jobs)).unwrap();
+    let opts = scale_options();
+    g.bench_with_input(BenchmarkId::new("jobs_to_schedule", n), &jobs, |b, j| {
+        b.iter(|| black_box(jobs_to_schedule(j, &opts)))
+    });
     g.finish();
 }
 
@@ -145,6 +168,7 @@ fn bench_prepared_windows(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_swf_ingest,
+    bench_swf_convert,
     bench_schedule_ingest,
     bench_prepared_windows
 );

@@ -94,43 +94,62 @@ impl HostSet {
         Self::normalized(ranges)
     }
 
-    /// Sorts, coalesces and packs ranges into the canonical representation.
+    /// Sorts, coalesces and packs ranges into the canonical representation,
+    /// reusing `v` as the spill buffer.
     fn normalized(mut v: Vec<HostRange>) -> HostSet {
         v.sort_unstable();
-        let mut out: Vec<HostRange> = Vec::with_capacity(v.len());
-        for r in v {
+        let mut len = 0;
+        for i in 0..v.len() {
+            let r = v[i];
             if r.nb == 0 {
                 continue;
             }
-            match out.last_mut() {
-                Some(last) if r.start <= last.end() => {
-                    let new_end = last.end().max(r.end());
-                    last.nb = new_end - last.start;
-                }
-                _ => out.push(r),
+            if len > 0 && r.start <= v[len - 1].end() {
+                let last = &mut v[len - 1];
+                last.nb = last.end().max(r.end()) - last.start;
+            } else {
+                v[len] = r;
+                len += 1;
             }
         }
-        match out.len() {
+        v.truncate(len);
+        match len {
             0 => HostSet::default(),
-            1 => HostSet {
-                inline: Some(out[0]),
-                spill: Vec::new(),
-            },
+            1 => HostSet::contiguous(v[0].start, v[0].nb),
             _ => HostSet {
                 inline: None,
-                spill: out,
+                spill: v,
             },
         }
     }
 
     /// Inserts a range, keeping the set normalized (sorted + coalesced).
+    ///
+    /// Parsers insert ranges in ascending order, so a range that starts
+    /// at or after the current end is appended in place: it extends the
+    /// last range or follows it, without sorting.
     pub fn insert_range(&mut self, r: HostRange) {
         if r.nb == 0 {
             return;
         }
-        let mut v = self.ranges().to_vec();
-        v.push(r);
-        *self = Self::normalized(v);
+        let Some(last) = self.ranges().last().copied() else {
+            self.inline = Some(r);
+            return;
+        };
+        if r.start < last.end() {
+            let mut v = self.ranges().to_vec();
+            v.push(r);
+            *self = Self::normalized(v);
+        } else if r.start == last.end() {
+            match &mut self.inline {
+                Some(only) => only.nb += r.nb,
+                None => self.spill.last_mut().expect("spilled set").nb += r.nb,
+            }
+        } else if let Some(only) = self.inline.take() {
+            self.spill = vec![only, r];
+        } else {
+            self.spill.push(r);
+        }
     }
 
     /// The normalized ranges (sorted, disjoint, maximal).

@@ -23,113 +23,150 @@ pub struct AssignedJob {
     pub truncated: bool,
 }
 
-/// Free-node pool over `[reserved, total)`.
-struct FreePool {
-    free: HostSet,
+/// The free nodes of `[reserved, total)` as one sorted, coalesced list
+/// of ranges, edited in place. `free` is the running node count.
+struct FreeList {
+    ranges: Vec<HostRange>,
+    free: u32,
 }
 
-impl FreePool {
+impl FreeList {
     fn new(total: u32, reserved: u32) -> Self {
-        FreePool {
-            free: HostSet::contiguous(reserved, total.saturating_sub(reserved)),
+        let free = total.saturating_sub(reserved);
+        FreeList {
+            ranges: HostSet::contiguous(reserved, free).ranges().to_vec(),
+            free,
         }
     }
 
-    /// Takes `n` nodes: a contiguous run if one exists, else the lowest
-    /// free indices.
+    /// Takes `min(n, free)` nodes: a contiguous run from the first range
+    /// that holds them, else the lowest free indices.
     fn take(&mut self, n: u32) -> HostSet {
+        let n = n.min(self.free);
         if n == 0 {
             return HostSet::new();
         }
-        // First fit: smallest-start contiguous range that holds n.
-        if let Some(r) = self.free.ranges().iter().find(|r| r.nb >= n).copied() {
+        self.free -= n;
+        // First fit: shrink the lowest range big enough.
+        if let Some(i) = self.ranges.iter().position(|r| r.nb >= n) {
+            let r = &mut self.ranges[i];
             let taken = HostSet::contiguous(r.start, n);
-            self.remove(&taken);
+            r.start += n;
+            r.nb -= n;
+            if r.nb == 0 {
+                self.ranges.remove(i);
+            }
             return taken;
         }
-        // Scatter: lowest free indices.
-        let picked: Vec<u32> = self.free.iter().take(n as usize).collect();
-        let taken = HostSet::from_hosts(picked);
-        self.remove(&taken);
-        taken
-    }
-
-    fn remove(&mut self, set: &HostSet) {
-        // Set difference via ranges.
-        let mut out = HostSet::new();
-        for r in self.free.ranges() {
-            let mut cursor = r.start;
-            for t in set.ranges() {
-                let lo = t.start.max(r.start);
-                let hi = t.end().min(r.end());
-                if lo >= hi {
-                    continue;
-                }
-                if lo > cursor {
-                    out.insert_range(HostRange::new(cursor, lo - cursor));
-                }
-                cursor = cursor.max(hi);
-            }
-            if cursor < r.end() {
-                out.insert_range(HostRange::new(cursor, r.end() - cursor));
-            }
+        // Scatter: every range is smaller than `n`, so whole ranges are
+        // drained from the front and the rest cut from the next one.
+        let mut need = n;
+        let mut whole = 0;
+        while need > 0 && need >= self.ranges[whole].nb {
+            need -= self.ranges[whole].nb;
+            whole += 1;
         }
-        self.free = out;
+        let mut picked: Vec<HostRange> = self.ranges.drain(..whole).collect();
+        if need > 0 {
+            let r = &mut self.ranges[0];
+            picked.push(HostRange::new(r.start, need));
+            r.start += need;
+            r.nb -= need;
+        }
+        HostSet::from_ranges(picked)
     }
 
+    /// Returns `set`, whose nodes are all in use, merging each range
+    /// with its free neighbours.
     fn give_back(&mut self, set: &HostSet) {
-        self.free = self.free.union(set);
-    }
-
-    fn free_count(&self) -> u32 {
-        self.free.count()
+        for &r in set.ranges() {
+            let i = self.ranges.partition_point(|f| f.start < r.start);
+            let joins_prev = i > 0 && self.ranges[i - 1].end() == r.start;
+            let joins_next = i < self.ranges.len() && self.ranges[i].start == r.end();
+            match (joins_prev, joins_next) {
+                (true, true) => {
+                    self.ranges[i - 1].nb += r.nb + self.ranges[i].nb;
+                    self.ranges.remove(i);
+                }
+                (true, false) => self.ranges[i - 1].nb += r.nb,
+                (false, true) => {
+                    self.ranges[i].start = r.start;
+                    self.ranges[i].nb += r.nb;
+                }
+                (false, false) => self.ranges.insert(i, r),
+            }
+            self.free += r.nb;
+        }
     }
 }
 
-/// Replays `jobs` over a machine of `total_nodes`, the first `reserved`
-/// of which are never used. Jobs are processed in event order (releases
-/// before grabs at equal times). Jobs asking for more nodes than exist
-/// outside the reservation are truncated.
-pub fn assign_nodes(jobs: &[Job], total_nodes: u32, reserved: u32) -> Vec<AssignedJob> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Ev {
-        End(usize),
-        Start(usize),
+/// Sort key of a time: the `f64::total_cmp` order as an unsigned word.
+fn time_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
-    let mut events: Vec<(f64, u8, Ev)> = Vec::with_capacity(jobs.len() * 2);
+}
+
+/// Marks a start event in the second key word; ends leave it clear.
+const START: u64 = 1 << 63;
+
+/// Replays `jobs` and returns the node set of every job, indexed like
+/// `jobs`. See [`assign_nodes`] for the rules.
+pub(crate) fn replay(jobs: &[Job], total_nodes: u32, reserved: u32) -> Vec<HostSet> {
+    // One event per start and per end of a job with positive length,
+    // keyed (time, tag | index): ends (tag 0) before starts (tag 1) at
+    // equal times, job order within each. Keys are unique, so an
+    // unstable sort gives exactly that order.
+    let mut events: Vec<(u64, u64)> = Vec::with_capacity(jobs.len() * 2);
     for (i, j) in jobs.iter().enumerate() {
-        events.push((j.start(), 1, Ev::Start(i)));
-        events.push((j.end(), 0, Ev::End(i)));
-    }
-    // Ends (tag 0) before starts (tag 1) at equal times.
-    events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let mut pool = FreePool::new(total_nodes, reserved);
-    let mut out: Vec<Option<AssignedJob>> = vec![None; jobs.len()];
-
-    for (_, _, ev) in events {
-        match ev {
-            Ev::End(i) => {
-                if let Some(a) = &out[i] {
-                    let nodes = a.nodes.clone();
-                    pool.give_back(&nodes);
-                }
-            }
-            Ev::Start(i) => {
-                let want = jobs[i].procs;
-                let available = pool.free_count();
-                let take = want.min(available);
-                let nodes = pool.take(take);
-                out[i] = Some(AssignedJob {
-                    job: jobs[i].clone(),
-                    nodes,
-                    truncated: take < want,
-                });
-            }
+        let (start, end) = (time_key(j.start()), time_key(j.end()));
+        events.push((start, START | i as u64));
+        if end > start {
+            events.push((end, i as u64));
         }
     }
+    events.sort_unstable();
 
-    out.into_iter().flatten().collect()
+    let mut pool = FreeList::new(total_nodes, reserved);
+    let mut nodes = vec![HostSet::new(); jobs.len()];
+    for (_, ev) in events {
+        let i = (ev & !START) as usize;
+        if ev & START == 0 {
+            pool.give_back(&nodes[i]);
+            continue;
+        }
+        nodes[i] = pool.take(jobs[i].procs);
+        // A zero-length job has no end event: it frees its nodes right
+        // after its own grab.
+        if time_key(jobs[i].end()) <= time_key(jobs[i].start()) {
+            pool.give_back(&nodes[i]);
+        }
+    }
+    nodes
+}
+
+/// Replays `jobs` over a machine of `total_nodes`, the first `reserved`
+/// of which are never used.
+///
+/// Jobs are processed in event order: by time, releases before grabs at
+/// equal times, and in job order among equal events. A grab takes the
+/// first free contiguous run that holds the job (lowest start), else the
+/// lowest free indices. A zero-length job (`end == start`) releases its
+/// nodes right after its own grab, so they are free again for the next
+/// job starting at the same time. Jobs asking for more nodes than are
+/// free are truncated to what is available.
+pub fn assign_nodes(jobs: &[Job], total_nodes: u32, reserved: u32) -> Vec<AssignedJob> {
+    jobs.iter()
+        .zip(replay(jobs, total_nodes, reserved))
+        .map(|(job, nodes)| AssignedJob {
+            job: job.clone(),
+            truncated: nodes.count() < job.procs,
+            nodes,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -229,6 +266,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_run_job_frees_its_nodes() {
+        // Job 1's end sorts before its own start; its nodes must still
+        // come back, or job 2 finds the machine full.
+        let jobs = vec![job(1, 0.0, 0.0, 16), job(2, 10.0, 5.0, 16)];
+        let a = assign_nodes(&jobs, 16, 0);
+        assert_eq!(a[0].nodes, HostSet::contiguous(0, 16));
+        assert_eq!(a[1].nodes, HostSet::contiguous(0, 16));
+        assert!(!a[1].truncated);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Conversion of workloads to Jedule schedules (the Fig. 13 view).
 
-use crate::assign::{assign_nodes, AssignedJob};
+use crate::assign::{replay, AssignedJob};
 use crate::swf::Job;
-use jedule_core::{Allocation, Color, ColorMap, ColorPair, Schedule, ScheduleBuilder, Task};
+use jedule_core::{
+    Allocation, Color, ColorMap, ColorPair, HostSet, Schedule, ScheduleBuilder, Task,
+};
 
 /// Conversion options.
 #[derive(Debug, Clone)]
@@ -36,34 +38,46 @@ impl Default for ConvertOptions {
 
 /// Assigns nodes and converts to a Jedule schedule.
 pub fn jobs_to_schedule(jobs: &[Job], opts: &ConvertOptions) -> Schedule {
-    let assigned = assign_nodes(jobs, opts.total_nodes, opts.reserved);
-    assigned_to_schedule(&assigned, opts)
+    let nodes = replay(jobs, opts.total_nodes, opts.reserved);
+    to_schedule(jobs.iter().zip(nodes), opts)
 }
 
 /// Converts pre-assigned jobs.
 pub fn assigned_to_schedule(assigned: &[AssignedJob], opts: &ConvertOptions) -> Schedule {
+    to_schedule(assigned.iter().map(|a| (&a.job, a.nodes.clone())), opts)
+}
+
+/// One task per job that got nodes, in job order.
+fn to_schedule<'a>(
+    jobs: impl ExactSizeIterator<Item = (&'a Job, HostSet)>,
+    opts: &ConvertOptions,
+) -> Schedule {
+    let n = jobs.len();
     let mut b = ScheduleBuilder::new()
         .cluster(0, opts.cluster_name.clone(), opts.total_nodes)
-        .reserve_tasks(assigned.len())
-        .meta("jobs", assigned.len().to_string())
+        .reserve_tasks(n)
+        .meta("jobs", n.to_string())
         .meta("reserved_nodes", opts.reserved.to_string());
     if let Some(u) = opts.highlight_user {
         b = b.meta("highlight_user", u.to_string());
     }
-    for a in assigned {
-        if a.nodes.is_empty() {
+    for (job, nodes) in jobs {
+        if nodes.is_empty() {
             continue;
         }
         let kind = match opts.highlight_user {
-            Some(u) if a.job.user == u => "highlight",
+            Some(u) if job.user == u => "highlight",
             _ => "job",
         };
-        let mut task = Task::new(a.job.id.to_string(), kind, a.job.start(), a.job.end())
-            .on(Allocation::new(0, a.nodes.clone()));
+        // One allocation, sized exactly: `Task::on` would reserve four.
+        let mut task = Task {
+            allocations: vec![Allocation::new(0, nodes)],
+            ..Task::new(job.id.to_string(), kind, job.start(), job.end())
+        };
         if opts.task_attrs {
             task = task
-                .with_attr("user", a.job.user.to_string())
-                .with_attr("procs", a.job.procs.to_string());
+                .with_attr("user", job.user.to_string())
+                .with_attr("procs", job.procs.to_string());
         }
         b = b.task(task);
     }
