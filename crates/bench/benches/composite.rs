@@ -1,8 +1,18 @@
-//! Fig. 3 family: composite-task computation on overlap-heavy schedules.
+//! Fig. 3 family: composite-task computation on overlap-heavy schedules,
+//! and on a bird's-eye batch trace where no two jobs share a node.
+//!
+//! Set `JEDULE_BENCH_QUICK=1` to shrink the bird's-eye trace so CI can
+//! smoke-test the harness in seconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use jedule_core::{composite_tasks, Allocation, CompositeOptions, Schedule, ScheduleBuilder, Task};
+use jedule_workloads::convert::assigned_to_schedule;
+use jedule_workloads::{synth_scale_trace, ConvertOptions};
 use std::hint::black_box;
+
+fn quick() -> bool {
+    std::env::var_os("JEDULE_BENCH_QUICK").is_some()
+}
 
 /// A schedule where computation and transfers overlap on every host — the
 /// §II-C3 scenario at scale.
@@ -24,6 +34,20 @@ fn overlapping_schedule(tasks: usize, hosts: u32) -> Schedule {
     b.build_unchecked()
 }
 
+/// The `birdseye_scale` trace (1024 nodes, seed 20070202): node
+/// assignment never lets two jobs share a node, so no host row overlaps
+/// and the sweep should cost little more than one ordered pass.
+fn disjoint_schedule(jobs: usize) -> Schedule {
+    let opts = ConvertOptions {
+        cluster_name: "scale".into(),
+        total_nodes: 1024,
+        reserved: 0,
+        highlight_user: None,
+        task_attrs: false,
+    };
+    assigned_to_schedule(&synth_scale_trace(jobs, 1024, 20070202), &opts)
+}
+
 fn bench_composites(c: &mut Criterion) {
     let mut g = c.benchmark_group("composite_tasks");
     g.sample_size(10);
@@ -33,6 +57,11 @@ fn bench_composites(c: &mut Criterion) {
             b.iter(|| black_box(composite_tasks(s, &CompositeOptions::default())))
         });
     }
+    let jobs = if quick() { 20_000 } else { 1_000_000 };
+    let s = disjoint_schedule(jobs);
+    g.bench_with_input(BenchmarkId::new("disjoint_lanes", jobs), &s, |b, s| {
+        b.iter(|| black_box(composite_tasks(s, &CompositeOptions::default())))
+    });
     g.finish();
 }
 

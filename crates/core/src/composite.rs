@@ -6,15 +6,27 @@
 //! single task IDs and whose type is `"composite"`. The classic example is
 //! the overlap of computation and communication on one host.
 //!
-//! The algorithm here sweeps each host's timeline once and merges identical
-//! overlap segments across adjacent hosts, so a composite spanning many
-//! hosts becomes a single multi-host task (one rectangle per contiguous
-//! host run).
+//! The algorithm reads the columnar task view ([`TaskColumns`]) only —
+//! no interval index — in three steps:
+//!
+//! 1. **Order.** Tasks are argsorted by `(start, task index)` (the
+//!    `f64::total_cmp` order of the start).
+//! 2. **Flag.** One pass in that order keeps, per host row, the latest
+//!    end seen so far; a row is flagged when a positive-length task starts
+//!    strictly before it. Flagged rows are a superset of the rows with
+//!    composites: a row that is never flagged never has two tasks active
+//!    at once, so its sweep would be empty. On a bird's-eye trace where no
+//!    two jobs share a node, no row is flagged and the step below never
+//!    runs.
+//! 3. **Sweep.** Only flagged rows gather their task lists (in the same
+//!    order, each task once) and sweep their timelines; identical overlap
+//!    segments on different hosts are merged, so a composite spanning many
+//!    hosts becomes a single multi-host task (one rectangle per contiguous
+//!    host run).
 
 use crate::columns::TaskColumns;
 use crate::hostset::HostSet;
-use crate::index::ScheduleIndex;
-use crate::model::{Allocation, Schedule, Task};
+use crate::model::{Allocation, Cluster, Schedule, Task};
 use crate::parallel::{chunk_bounds, effective_threads};
 use std::collections::HashMap;
 
@@ -74,83 +86,51 @@ struct Segment {
 /// `id1+id2+…`, and attributes [`ATTR_IDS`] / [`ATTR_TYPES`] used by color
 /// maps to resolve composite colors.
 pub fn composite_tasks(schedule: &Schedule, opts: &CompositeOptions) -> Vec<Task> {
-    let index = ScheduleIndex::build_with_hosts(schedule);
-    composite_tasks_indexed(schedule, &index, opts)
+    composite_tasks_columnar(schedule, &TaskColumns::build(schedule), opts)
 }
 
-/// [`composite_tasks`] against a pre-built interval index (must have host
-/// rows). Callers that already hold an index — the render pipeline builds
-/// one for window culling — avoid re-bucketing every task per host.
-pub fn composite_tasks_indexed(
-    schedule: &Schedule,
-    index: &ScheduleIndex,
-    opts: &CompositeOptions,
-) -> Vec<Task> {
-    composite_impl(schedule, index, opts, &|ti| {
-        let t = &schedule.tasks[ti];
-        (t.start, t.end)
-    })
-}
-
-/// [`composite_tasks_indexed`] with task spans read from the columnar
-/// view's contiguous `starts`/`ends` slices instead of striding across
-/// `Vec<Task>` structs. The column values are bit-exact copies of the
-/// task fields, so the output is identical.
+/// [`composite_tasks`] over a pre-built columnar view of `schedule` (the
+/// render pipeline's cached one), so the spans and host lanes are not
+/// flattened again.
 pub fn composite_tasks_columnar(
     schedule: &Schedule,
-    index: &ScheduleIndex,
     cols: &TaskColumns,
     opts: &CompositeOptions,
 ) -> Vec<Task> {
     let (starts, ends) = (cols.starts(), cols.ends());
-    composite_impl(schedule, index, opts, &|ti| (starts[ti], ends[ti]))
-}
+    let span_of = |ti: usize| (starts[ti], ends[ti]);
+    let lanes = Lanes::new(&schedule.clusters);
+    let order = start_order(cols);
+    let flagged = flag_rows(cols, &order, &lanes);
+    let rows = gather_rows(cols, &order, &lanes, &flagged);
 
-/// The shared sweep, generic (and monomorphized) over how a task index
-/// resolves to its `(start, end)` span.
-fn composite_impl<F>(
-    schedule: &Schedule,
-    index: &ScheduleIndex,
-    opts: &CompositeOptions,
-    span_of: &F,
-) -> Vec<Task>
-where
-    F: Fn(usize) -> (f64, f64) + Sync,
-{
     let mut out = Vec::new();
     for cluster in &schedule.clusters {
-        let Some(ci) = index.cluster(cluster.id) else {
+        // A duplicated cluster id resolves to its first declaration, as
+        // everywhere else ([`crate::ScheduleIndex::cluster`]).
+        let Some(slot) = lanes.slot(cluster.id) else {
             continue;
         };
-        // Per-host task lists come straight from the index rows, which
-        // already deduplicate a task with several allocations on this
-        // cluster (or one allocation listing a host twice) — without the
-        // dedup the sweep would see the task overlap *itself* and emit
-        // bogus `a+a` composites.
-        let per_host: Vec<Vec<usize>> = (0..cluster.hosts)
-            .map(|h| {
-                ci.host(h)
-                    .map(|seq| seq.entries().iter().map(|e| e.task as usize).collect())
-                    .unwrap_or_default()
-            })
-            .collect();
+        let base = lanes.base[slot];
+        let hosts = (cluster.hosts as usize).min(lanes.base[slot + 1] - base);
 
-        // Sweep each host (in parallel across hosts); key segments by
-        // (bit-exact times, task set). The work list and the merge below
-        // are both in ascending host order regardless of the worker
+        // Sweep each flagged host (in parallel across hosts); key segments
+        // by (bit-exact times, task set). The work list and the merge
+        // below are both in ascending host order regardless of the worker
         // count, so the result is deterministic.
-        let work: Vec<(u32, &[usize])> = per_host
+        let lo = rows.partition_point(|(row, _)| *row < base);
+        let hi = rows.partition_point(|(row, _)| *row < base + hosts);
+        let work: Vec<(u32, &[usize])> = rows[lo..hi]
             .iter()
-            .enumerate()
             .filter(|(_, tasks)| tasks.len() >= 2)
-            .map(|(host, tasks)| (host as u32, tasks.as_slice()))
+            .map(|(row, tasks)| ((row - base) as u32, tasks.as_slice()))
             .collect();
         let workers = effective_threads(opts.threads).min(work.len()).max(1);
 
         let swept: Vec<Vec<(u32, Vec<Segment>)>> = if workers <= 1 {
             vec![work
                 .iter()
-                .map(|&(host, tasks)| (host, host_overlaps(span_of, tasks, opts)))
+                .map(|&(host, tasks)| (host, host_overlaps(&span_of, tasks, opts)))
                 .collect()]
         } else {
             std::thread::scope(|scope| {
@@ -158,6 +138,7 @@ where
                     .into_iter()
                     .map(|(lo, hi)| {
                         let items = &work[lo..hi];
+                        let span_of = &span_of;
                         scope.spawn(move || {
                             items
                                 .iter()
@@ -216,6 +197,135 @@ where
         }
     }
     out
+}
+
+/// Sort key of a time: the `f64::total_cmp` order as an unsigned word.
+fn time_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The host rows of every cluster laid end to end: cluster slot `c`
+/// (declaration order) owns global rows `base[c]..base[c + 1]`.
+struct Lanes<'a> {
+    clusters: &'a [Cluster],
+    base: Vec<usize>,
+}
+
+impl<'a> Lanes<'a> {
+    fn new(clusters: &'a [Cluster]) -> Self {
+        let mut base = Vec::with_capacity(clusters.len() + 1);
+        let mut next = 0usize;
+        base.push(next);
+        for c in clusters {
+            next += c.hosts as usize;
+            base.push(next);
+        }
+        Lanes { clusters, base }
+    }
+
+    fn rows(&self) -> usize {
+        self.base[self.clusters.len()]
+    }
+
+    /// Slot of the first cluster declared with `id`.
+    fn slot(&self, id: u32) -> Option<usize> {
+        self.clusters.iter().position(|c| c.id == id)
+    }
+
+    /// Calls `f` with every global row task `ti` occupies, in segment
+    /// walk order. Dangling cluster ids and rows beyond a cluster's host
+    /// count are skipped.
+    #[inline]
+    fn for_rows(&self, cols: &TaskColumns, ti: usize, mut f: impl FnMut(usize)) {
+        let (clusters, row0, nrows) = (cols.seg_clusters(), cols.seg_row0(), cols.seg_nrows());
+        for si in cols.seg_range(ti) {
+            let Some(slot) = self.slot(clusters[si]) else {
+                continue;
+            };
+            let (base, end) = (self.base[slot], self.base[slot + 1]);
+            let hi = (base + row0[si] as usize + nrows[si] as usize).min(end);
+            let lo = (base + row0[si] as usize).min(hi);
+            (lo..hi).for_each(&mut f);
+        }
+    }
+}
+
+/// The tasks that can take part in an overlap — positive length and at
+/// least one host segment — argsorted by `(start, task index)`, the order
+/// a host's timeline lists its tasks in.
+fn start_order(cols: &TaskColumns) -> Vec<(u64, u64)> {
+    let (starts, ends) = (cols.starts(), cols.ends());
+    let mut order: Vec<(u64, u64)> = (0..cols.len())
+        .filter(|&ti| ends[ti] > starts[ti] && !cols.seg_range(ti).is_empty())
+        .map(|ti| (time_key(starts[ti]), ti as u64))
+        .collect();
+    order.sort_unstable();
+    order
+}
+
+/// No task yet on a row.
+const NO_TASK: u64 = u64::MAX;
+
+/// Flags every row on which a task starts strictly before an
+/// earlier-starting task ends. If the sweep ever sees tasks `x` and `y`
+/// active together, `x` starting first, then `x` comes first in `order`
+/// and `y` starts before `x` ends, hence before the row's running maximum
+/// end: the row is flagged. Times compare as `total_cmp` keys — the order
+/// of the sweep's event sort, where `-0.0` comes before `+0.0`. A task
+/// listing a row twice is not compared with itself.
+fn flag_rows(cols: &TaskColumns, order: &[(u64, u64)], lanes: &Lanes) -> Vec<bool> {
+    let ends = cols.ends();
+    // Per row: (latest end key so far, last task). End key 0 sorts below
+    // every start key, so an untouched row never flags.
+    let mut state = vec![(0u64, NO_TASK); lanes.rows()];
+    let mut flagged = vec![false; lanes.rows()];
+    for &(start_key, ti) in order {
+        let end_key = time_key(ends[ti as usize]);
+        lanes.for_rows(cols, ti as usize, |row| {
+            let (busy_until, last) = &mut state[row];
+            if *last != ti {
+                flagged[row] |= start_key < *busy_until;
+                *busy_until = (*busy_until).max(end_key);
+                *last = ti;
+            }
+        });
+    }
+    flagged
+}
+
+/// The task lists of the flagged rows, as `(global row, tasks)` in
+/// ascending row order; each list is in start order with every task once.
+fn gather_rows(
+    cols: &TaskColumns,
+    order: &[(u64, u64)],
+    lanes: &Lanes,
+    flagged: &[bool],
+) -> Vec<(usize, Vec<usize>)> {
+    let mut slot_of = vec![usize::MAX; flagged.len()];
+    let mut rows: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (row, _) in flagged.iter().enumerate().filter(|(_, &f)| f) {
+        slot_of[row] = rows.len();
+        rows.push((row, Vec::new()));
+    }
+    if rows.is_empty() {
+        return rows;
+    }
+    for &(_, ti) in order {
+        let ti = ti as usize;
+        lanes.for_rows(cols, ti, |row| {
+            if let Some((_, tasks)) = rows.get_mut(slot_of[row]) {
+                if tasks.last() != Some(&ti) {
+                    tasks.push(ti);
+                }
+            }
+        });
+    }
+    rows
 }
 
 /// Sweeps one host's tasks and returns maximal segments where at least two
@@ -496,31 +606,56 @@ mod tests {
     }
 
     #[test]
-    fn columnar_matches_indexed_for_any_worker_count() {
-        let mut tasks = Vec::new();
-        for i in 0..40u32 {
-            let h = i % 8;
-            let start = f64::from(i % 5);
-            tasks.push(
-                Task::new(
-                    format!("t{i}"),
-                    if i % 2 == 0 { "x" } else { "y" },
-                    start,
-                    start + 2.0,
-                )
-                .on(Allocation::contiguous(0, h, 1 + (i % 3))),
-            );
-        }
-        let s = schedule_with(tasks);
-        let index = ScheduleIndex::build_with_hosts(&s);
+    fn only_overlapping_rows_are_flagged() {
+        // Host 5 carries the one overlap; the rest hold back-to-back
+        // (touching) tasks, a zero-length task, a task listing its host
+        // twice and allocations past the host count or on an unknown
+        // cluster — none of which may flag a row.
+        let s = schedule_with(vec![
+            Task::new("a", "x", 0.0, 2.0).on(Allocation::contiguous(0, 0, 8)),
+            Task::new("b", "y", 2.0, 4.0).on(Allocation::contiguous(0, 0, 5)),
+            Task::new("c", "y", 1.0, 3.0).on(Allocation::contiguous(0, 5, 1)),
+            Task::new("z", "y", 1.0, 1.0).on(Allocation::contiguous(0, 6, 1)),
+            Task::new("d", "y", 2.0, 4.0)
+                .on(Allocation::contiguous(0, 7, 1))
+                .on(Allocation::contiguous(0, 7, 1)),
+            Task::new("e", "y", 0.0, 4.0)
+                .on(Allocation::contiguous(0, 8, 4))
+                .on(Allocation::contiguous(9, 0, 8)),
+        ]);
         let cols = TaskColumns::build(&s);
-        let base = composite_tasks_indexed(&s, &index, &CompositeOptions::default());
-        assert!(!base.is_empty());
-        for threads in [1, 2, 5] {
-            let opts = CompositeOptions::default().with_threads(threads);
-            let got = composite_tasks_columnar(&s, &index, &cols, &opts);
-            assert_eq!(got, base, "threads={threads}");
-        }
+        let lanes = Lanes::new(&s.clusters);
+        let order = start_order(&cols);
+        let flagged = flag_rows(&cols, &order, &lanes);
+        let hosts: Vec<usize> = (0..flagged.len()).filter(|&r| flagged[r]).collect();
+        assert_eq!(hosts, vec![5]);
+        let rows = gather_rows(&cols, &order, &lanes, &flagged);
+        assert_eq!(rows, vec![(5, vec![0, 2])]);
+        let comps = composite_tasks(&s, &CompositeOptions::default());
+        assert_eq!(comps.len(), 1);
+        assert_eq!(comps[0].id, "a+c");
+    }
+
+    #[test]
+    fn flags_follow_the_sweep_order_of_signed_zeros() {
+        // `b` starts at -0.0 and `a` ends at +0.0: equal as numbers, but
+        // the sweep orders events by `total_cmp`, where -0.0 comes first,
+        // so both are active for a zero-width instant. With a negative
+        // `min_duration` that instant is a composite — the flag pass must
+        // compare in the same order or it would skip the host.
+        let opts = CompositeOptions {
+            min_duration: -1.0,
+            ..CompositeOptions::default()
+        };
+        let s = schedule_with(vec![
+            Task::new("a", "x", -1.0, 0.0).on(Allocation::contiguous(0, 0, 1)),
+            Task::new("b", "y", -0.0, 1.0).on(Allocation::contiguous(0, 0, 1)),
+        ]);
+        let comps = composite_tasks(&s, &opts);
+        assert_eq!(comps.len(), 1);
+        assert_eq!(comps[0].id, "a+b");
+        assert_eq!(comps[0].start.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(comps[0].end.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

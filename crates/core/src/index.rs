@@ -1,10 +1,14 @@
 //! Interval index over a schedule's tasks.
 //!
 //! Bird's-eye charts of production traces (paper §VII) put 10⁵–10⁶ tasks
-//! behind a single picture. Layout, statistics and the composite sweep all
-//! ask the same question — *which tasks intersect the time window `[t0, t1]`
-//! on this cluster / host row?* — and answering it by scanning every task of
-//! the schedule makes zoomed renders pay O(total) instead of O(visible).
+//! behind a single picture. Window culling (zoomed renders, serve tiles),
+//! statistics and hit-testing all ask the same question — *which tasks
+//! intersect the time window `[t0, t1]` on this cluster / host row?* — and
+//! answering it by scanning every task of the schedule makes zoomed renders
+//! pay O(total) instead of O(visible). A full-extent render asks nothing of
+//! it, and the composite sweep reads the task columns instead
+//! ([`crate::composite`]), so the index is built only when one of its
+//! consumers asks.
 //!
 //! This module answers it in `O(log n + k')` per query: tasks are bucketed
 //! per cluster (and optionally per host row), sorted by start time, and
@@ -201,8 +205,8 @@ impl ScheduleIndex {
     }
 
     /// Builds cluster-level *and* per-host-row sequences — one entry per
-    /// (task, occupied host) pair. Needed by statistics and the composite
-    /// sweep, which reason per row.
+    /// (task, occupied host) pair. Needed by statistics, which reason per
+    /// row.
     pub fn build_with_hosts(schedule: &Schedule) -> Self {
         Self::build_inner(schedule, true)
     }

@@ -51,9 +51,7 @@ pub use builder::ScheduleBuilder;
 pub use color::Color;
 pub use colormap::{ColorMap, ColorPair, CompositeRule};
 pub use columns::{Seg, TaskColumns};
-pub use composite::{
-    composite_tasks, composite_tasks_columnar, composite_tasks_indexed, CompositeOptions,
-};
+pub use composite::{composite_tasks, composite_tasks_columnar, CompositeOptions};
 pub use diff::{diff_schedules, ScheduleDiff, TaskChange};
 pub use error::CoreError;
 pub use hostset::{HostRange, HostSet};

@@ -12,7 +12,7 @@
 //! view is bounded by what it draws:
 //!
 //! * the per-cluster/per-host [`ScheduleIndex`] (window culling,
-//!   composite sweep, hit-testing),
+//!   statistics, hit-testing — built only when one of them asks),
 //! * global and per-cluster time extents for both [`AlignMode`]s,
 //! * the distinct task kinds in first-appearance order plus a per-task
 //!   kind slot (legend + classify/colormap memo), and
@@ -208,7 +208,8 @@ impl PreparedSchedule {
 
     /// The interval index, built with per-host rows on first use (a
     /// superset of the cluster-only index, so one cache serves window
-    /// culling, the composite sweep, statistics and hit-testing alike).
+    /// culling, statistics and hit-testing alike). Full-extent renders
+    /// never ask for it: the composite sweep reads the columns only.
     pub fn index(&self) -> &ScheduleIndex {
         if let Some(built) = self.index.get() {
             obs::count("prepared.cache_hit", 1);
@@ -224,7 +225,9 @@ impl PreparedSchedule {
 
     /// Eagerly builds every cache a windowed render touches (index,
     /// extents, columns). Useful to move the one-time cost out of the
-    /// first frame — e.g. before entering an interactive loop.
+    /// first frame — e.g. before entering an interactive loop, whose
+    /// zooms cull through the index. Composites stay lazy: they need
+    /// only the columns and are swept on first draw.
     pub fn warm(&self) -> &Self {
         self.index();
         self.extents();
@@ -317,7 +320,8 @@ impl PreparedSchedule {
 
     /// Composite tasks of overlap regions under default
     /// [`CompositeOptions`] — what the layout engine draws. Computed on
-    /// first use (building the index if needed) and cached.
+    /// first use from the columns alone (the sweep never needs the
+    /// interval index) and cached.
     pub fn composites(&self) -> &[Task] {
         if let Some(built) = self.composites.get() {
             obs::count("prepared.cache_hit", 1);
@@ -325,15 +329,14 @@ impl PreparedSchedule {
         }
         self.composites
             .get_or_init(|| {
-                // Resolve the schedule, index and column dependencies
-                // *before* opening the span so their build time is
-                // attributed to prepare.index / prepare.columns, not here.
+                // Resolve the schedule and column dependencies *before*
+                // opening the span so their build time is attributed to
+                // prepare.columns, not here.
                 let schedule = self.schedule();
-                let index = self.index();
                 let columns = self.columns();
                 let _s = obs::span("prepare.composites");
                 obs::count("prepared.cache_build", 1);
-                composite_tasks_columnar(schedule, index, columns, &CompositeOptions::default())
+                composite_tasks_columnar(schedule, columns, &CompositeOptions::default())
             })
             .as_slice()
     }
@@ -453,10 +456,11 @@ mod tests {
         let p = PreparedSchedule::new(sched());
         p.index();
         p.index();
-        p.composites(); // hits index again, builds columns + composites
+        p.composites(); // builds columns + composites, never asks the index
+        p.composites();
         let rep = col.report();
         assert_eq!(rep.counter("prepared.cache_build"), 3);
-        assert!(rep.counter("prepared.cache_hit") >= 2);
+        assert_eq!(rep.counter("prepared.cache_hit"), 2);
         assert!(rep.spans.iter().any(|s| s.name == "prepare.index"));
         assert!(rep.spans.iter().any(|s| s.name == "prepare.columns"));
         assert!(rep.spans.iter().any(|s| s.name == "prepare.composites"));

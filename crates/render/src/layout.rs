@@ -45,7 +45,7 @@ use crate::options::{LodMode, RenderOptions};
 use crate::scene::{text_width, Anchor, Scene};
 use crate::ticks;
 use jedule_core::align::extent_for;
-use jedule_core::composite::{composite_tasks_indexed, ATTR_TYPES, COMPOSITE_KIND};
+use jedule_core::composite::{composite_tasks, ATTR_TYPES, COMPOSITE_KIND};
 use jedule_core::parallel::chunk_bounds;
 use jedule_core::{
     effective_threads, Cluster, Color, ColorPair, CompositeOptions, MetaInfo, PreparedSchedule,
@@ -289,10 +289,11 @@ pub fn layout(schedule: &Schedule, opts: &RenderOptions) -> Scene {
 }
 
 /// [`layout`] served from a [`PreparedSchedule`]: the extent scan, the
-/// interval index, the legend kind list and the composite sweep come from
-/// the prepared bundle's caches instead of being recomputed, and the task
-/// loops scan the cached [`TaskColumns`] — so repeated renders (zoom/pan,
-/// `--window` series, interactive redraws) only pay for what they draw.
+/// interval index (asked for only when a window culls), the legend kind
+/// list and the composite sweep come from the prepared bundle's caches
+/// instead of being recomputed, and the task loops scan the cached
+/// [`TaskColumns`] — so repeated renders (zoom/pan, `--window` series,
+/// interactive redraws) only pay for what they draw.
 /// Pixel-identical to `layout(prep.schedule(), opts)` — property-tested.
 pub fn layout_prepared(prep: &PreparedSchedule, opts: &RenderOptions) -> Scene {
     layout_impl(Src::Prep(prep), opts, &mut LayoutScratch::new())
@@ -354,37 +355,28 @@ fn layout_impl(src: Src<'_>, opts: &RenderOptions, scratch: &mut LayoutScratch) 
         p.y + p.row_h * f64::from(p.cluster.hosts) + AXIS_H
     });
 
-    // One interval index serves both the composite sweep and window
-    // culling; it is skipped entirely when neither needs it. A prepared
-    // schedule lends its cached index (always with host rows — a strict
-    // superset of the cluster-only index, so per-cluster queries agree).
+    // The interval index serves window culling only; full-extent renders
+    // skip it (the composite sweep reads task columns, not the index). A
+    // prepared schedule lends its cached index (always with host rows — a
+    // strict superset of the cluster-only index, so per-cluster queries
+    // agree).
     let cull = opts.cull && opts.time_window.is_some_and(|(t0, t1)| t1 > t0);
-    let need_index = cull || opts.show_composites;
     let index_owned: Option<ScheduleIndex> = match src {
-        Src::Cold(s) if need_index => Some(if opts.show_composites {
-            ScheduleIndex::build_with_hosts(s)
-        } else {
-            ScheduleIndex::build(s)
-        }),
+        Src::Cold(s) if cull => Some(ScheduleIndex::build(s)),
         _ => None,
     };
-    let index: Option<&ScheduleIndex> = if need_index {
-        match prep {
-            Some(p) => Some(p.index()),
-            None => index_owned.as_ref(),
-        }
-    } else {
-        None
+    let index: Option<&ScheduleIndex> = match prep {
+        Some(p) if cull => Some(p.index()),
+        _ => index_owned.as_ref(),
     };
     let composites_owned: Vec<Task>;
-    let composites: &[Task] = match (src, index) {
+    let composites: &[Task] = match src {
         _ if !opts.show_composites => &[],
-        (Src::Prep(p), _) => p.composites(),
-        (Src::Cold(s), Some(idx)) => {
-            composites_owned = composite_tasks_indexed(s, idx, &CompositeOptions::default());
+        Src::Prep(p) => p.composites(),
+        Src::Cold(s) => {
+            composites_owned = composite_tasks(s, &CompositeOptions::default());
             &composites_owned
         }
-        (Src::Cold(_), None) => &[], // unreachable: show_composites forces an index
     };
 
     // The legend lists every task type of the schedule (plus the
@@ -427,7 +419,6 @@ fn layout_impl(src: Src<'_>, opts: &RenderOptions, scratch: &mut LayoutScratch) 
     // instead of `Vec<Task>` whenever they are available.
     let columns = prep.map(|p| p.columns());
 
-    let panel_index = if cull { index } else { None };
     for (pi, panel) in panels.iter().enumerate() {
         draw_panel(
             &mut scene,
@@ -437,7 +428,7 @@ fn layout_impl(src: Src<'_>, opts: &RenderOptions, scratch: &mut LayoutScratch) 
             plot_x,
             plot_w,
             composites,
-            panel_index,
+            index,
             kind_table.as_ref(),
             columns,
             scratch,
@@ -1470,6 +1461,27 @@ mod tests {
         // Tasks a and b overlap on hosts 2-3 of cluster 0 → 1 extra rect
         // and 1 extra legend entry.
         assert_eq!(rw, ro + 2);
+    }
+
+    #[test]
+    fn full_extent_render_skips_the_index() {
+        let col = jedule_core::obs::Collector::new();
+        let _g = col.install();
+        let p = PreparedSchedule::new(sched());
+        let o = RenderOptions::default();
+        assert!(o.show_composites);
+        layout_prepared(&p, &o);
+        let spans = |rep: &jedule_core::ObsReport, name: &str| {
+            rep.spans.iter().filter(|s| s.name == name).count()
+        };
+        let rep = col.report();
+        assert_eq!(spans(&rep, "prepare.index"), 0);
+        assert_eq!(spans(&rep, "prepare.composites"), 1);
+        // A window culls, and culling is what the index is for.
+        let mut zoom = o.clone();
+        zoom.time_window = Some((2.0, 4.0));
+        layout_prepared(&p, &zoom);
+        assert_eq!(spans(&col.report(), "prepare.index"), 1);
     }
 
     #[test]
